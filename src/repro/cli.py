@@ -1035,6 +1035,11 @@ def _metrics_stats(registry: MetricsRegistry) -> int:
         lookups = hits + registry.counter_value("cache.misses")
         if lookups:
             print(f"{'cache.hit_rate:':24s}{hits / lookups:.1%}")
+    # Per-trace results the drains folded into the running verdict: it
+    # tracks engine.traces however many drains a session took.
+    merged = registry.counter_value("stage.drain.merged")
+    if merged:
+        print(f"{'stage.drain.merged:':24s}{merged}")
     rows = stage_breakdown(registry)
     grand_total = sum(total for _, total, _ in rows)
     print()

@@ -20,12 +20,15 @@ checking runs, so the pool's execution strategy is a pluggable backend:
     results merged back.  This is the backend that reproduces the
     paper's Fig. 12 worker-scaling claim on multi-core hosts.
 
-Every backend aggregates results in **submission order**: each trace's
-result is tagged with its submit sequence number, and ``drain`` merges
-them sorted by that tag.  Scheduling never leaks into the aggregate, so
-all three backends produce bit-identical :class:`TestResult`\\ s for the
-same trace stream (the cross-backend equivalence test asserts this over
-the whole bug corpus).
+Every backend reports results in **submission order**: each trace's
+result is tagged with its submit sequence number, and ``drain_pairs``
+**hands off** the results finished since the previous hand-off, sorted
+by that tag, and forgets them — the :class:`~repro.core.workers
+.WorkerPool` folds them into its running verdict, so a drain costs
+O(new results) however old the session is.  Scheduling never leaks
+into the aggregate, so all three backends produce bit-identical
+:class:`TestResult`\\ s for the same trace stream (the cross-backend
+equivalence test asserts this over the whole bug corpus).
 
 Fault tolerance
 ---------------
@@ -44,8 +47,8 @@ never silently drop traces, so the thread and process backends are
 * a ``check_timeout`` watchdog bounds drains: after that long with no
   completed trace, everything outstanding is requeued once, and if that
   brings no progress either the backend raises
-  :class:`BackendUnhealthy` carrying its partial results and unchecked
-  traces so the :class:`~repro.core.workers.WorkerPool` can degrade to
+  :class:`BackendUnhealthy` carrying its not-yet-handed-off results and
+  unchecked traces so the :class:`~repro.core.workers.WorkerPool` can degrade to
   the next backend in the chain (process -> thread -> inline);
 * ``close``/``stop`` are idempotent and safe after a failed drain.
 
@@ -86,8 +89,10 @@ import pickle
 import threading
 import time
 import queue
+from collections import deque
+from operator import itemgetter
 from time import perf_counter_ns
-from typing import Any, Dict, List, Optional, Protocol, Set, Tuple, runtime_checkable
+from typing import Any, Deque, Dict, List, Optional, Protocol, Set, Tuple, runtime_checkable
 
 from repro.core.engine import CheckingEngine
 from repro.core.engine_columnar import make_engine, resolve_engine_name
@@ -105,7 +110,7 @@ from repro.core.faults import (
 from repro.core.column_arena import ensure_tracker, release_attached
 from repro.core.metrics import MetricsLevel, MetricsRegistry
 from repro.core.recovery import RecoveryEvent, render_events
-from repro.core.reports import TestResult
+from repro.core.reports import TestResult, merge_results
 from repro.core.rules import PersistencyRules
 from repro.core.shm_ring import DEFAULT_RING_BYTES, RingClosed, ShmRing
 from repro.core.tracing import SpanContext, Tracer, TracingError
@@ -151,8 +156,11 @@ MAX_BATCH_SIZE = 64
 #: Supervision poll interval while a drain is waiting (seconds).
 _POLL = 0.02
 
-#: ``(submit_seq, result)`` — the unit every backend aggregates.
+#: ``(submit_seq, result)`` — the unit every backend hands off.
 _SeqResult = Tuple[int, TestResult]
+
+#: Sort key for hand-off windows: the submit sequence number.
+_by_seq = itemgetter(0)
 
 
 class CheckingFailed(RuntimeError):
@@ -170,9 +178,11 @@ class BackendUnhealthy(RuntimeError):
     Raised from ``drain`` when recovery is exhausted (respawn budget
     spent, or the watchdog fired twice without progress).  Carries
     everything the pool needs to degrade honestly: the per-trace results
-    already salvaged (``pairs``), the traces that were never checked
-    (``unchecked``), and the typed recovery events accumulated so far
-    (``events``; ``diagnostics`` is their legacy string rendering).
+    finished but **not yet handed off** by ``drain_pairs`` (``pairs``,
+    unordered; earlier hand-offs already live in the pool's verdict),
+    the traces that were never checked (``unchecked``), and the typed
+    recovery events accumulated so far (``events``; ``diagnostics`` is
+    their legacy string rendering).
     """
 
     def __init__(
@@ -219,7 +229,10 @@ class CheckingBackend(Protocol):
 
     def submit(self, trace: Trace) -> None: ...
 
-    def drain_pairs(self) -> List[_SeqResult]: ...
+    def drain_pairs(self) -> List[_SeqResult]:
+        """Block until everything submitted is checked, then hand off
+        (return and forget) the results finished since the previous
+        call, sorted by submit sequence number."""
 
     def drain(self) -> TestResult: ...
 
@@ -450,12 +463,13 @@ def make_backend_with_fallback(
             current = nxt
 
 
-def _merge_ordered(pairs: List[_SeqResult]) -> TestResult:
-    """Aggregate per-trace results in submission order."""
-    snapshot = TestResult()
-    for _, result in sorted(pairs, key=lambda pair: pair[0]):
-        snapshot.merge(result)
-    return snapshot
+def _drain_merged(backend: "CheckingBackend") -> TestResult:
+    """A backend's own ``drain``: what ``drain_pairs`` hands off (the
+    results finished since the previous hand-off), merged in
+    submission order."""
+    result = merge_results(result for _, result in backend.drain_pairs())
+    result.diagnostics.extend(backend.diagnostics)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -530,12 +544,11 @@ class InlineBackend:
 
     def drain_pairs(self) -> List[_SeqResult]:
         with self._lock:
-            return list(self._results)
+            pairs, self._results = self._results, []
+        return pairs
 
     def drain(self) -> TestResult:
-        result = _merge_ordered(self.drain_pairs())
-        result.diagnostics.extend(self.diagnostics)
-        return result
+        return _drain_merged(self)
 
     def close(self) -> TestResult:
         return self.drain()
@@ -551,10 +564,10 @@ class ThreadBackend:
     """The paper's worker pool: round-robin dispatch to worker threads.
 
     ``submit`` takes the lock only for round-robin index bookkeeping;
-    each worker appends results to a list it alone writes, and ``drain``
-    aggregates those per-worker lists once every submitted sequence
-    number is accounted for.  The checked results themselves never cross
-    the lock.
+    workers append results to one deque (atomic appends, no lock), and
+    ``drain_pairs`` pops them off as they arrive and hands them off once
+    every submitted sequence number is accounted for.  The checked
+    results themselves never cross the lock.
 
     Supervision: each submitted trace is retained in ``_incomplete``
     until checked, workers publish a per-slot heartbeat and in-flight
@@ -562,7 +575,8 @@ class ThreadBackend:
     thread is replaced on the same queue (its queued work survives; only
     the in-flight trace needs requeueing); a hung worker's queue is
     redistributed by the watchdog sweep.  Duplicate results from replays
-    are dropped by sequence number before merging.
+    are dropped by sequence number as they are popped: a sequence number
+    leaves ``_incomplete`` exactly once.
     """
 
     name = "thread"
@@ -610,13 +624,11 @@ class ThreadBackend:
         self._next_worker = 0
         self._dispatched = 0
         self._per_worker_counts = [0] * num_workers
-        #: per-worker result/error lists, written only by their worker
-        self._worker_results: List[List[_SeqResult]] = [
-            [] for _ in range(num_workers)
-        ]
-        self._worker_errors: List[List[Tuple[int, BaseException]]] = [
-            [] for _ in range(num_workers)
-        ]
+        #: worker output: appended by workers, popped only by a drain
+        self._finished: Deque[_SeqResult] = deque()
+        self._errors: List[Tuple[int, BaseException]] = []
+        #: de-duplicated results not yet handed off by ``drain_pairs``
+        self._ready: List[_SeqResult] = []
         #: seq -> trace for everything not yet checked (requeue source)
         self._incomplete: Dict[int, Trace] = {}
         #: per-slot in-flight seq (written by the worker, read by drain)
@@ -672,12 +684,12 @@ class ThreadBackend:
     def backlog(self) -> int:
         """Estimated traces submitted but not yet checked.
 
-        Computed as dispatched minus results appended so far; requeue
-        replays can briefly overstate completion, so the value is a
-        backpressure signal, not an exact count.
+        Computed as traces no drain has seen a result for yet, minus
+        results waiting for the next drain; requeue replays can briefly
+        overstate completion, so the value is a backpressure signal,
+        not an exact count.
         """
-        done = sum(len(results) for results in self._worker_results)
-        return max(0, self._dispatched - done)
+        return max(0, len(self._incomplete) - len(self._finished))
 
     def submit(self, trace: Trace) -> None:
         metrics = self._metrics
@@ -711,19 +723,15 @@ class ThreadBackend:
         return index, seq
 
     # ------------------------------------------------------------------
-    def _collected(
-        self,
-    ) -> Tuple[Dict[int, TestResult], List[Tuple[int, BaseException]]]:
-        """Snapshot worker output, de-duplicated by sequence number."""
-        pairs: Dict[int, TestResult] = {}
-        errors: List[Tuple[int, BaseException]] = []
-        for worker in self._worker_results:
-            for seq, result in list(worker):
-                if seq not in pairs:
-                    pairs[seq] = result
-        for worker in self._worker_errors:
-            errors.extend(list(worker))
-        return pairs, errors
+    def _absorb(self) -> None:
+        """Move worker output to ``_ready``, dropping requeue replays."""
+        finished, incomplete, ready = (
+            self._finished, self._incomplete, self._ready
+        )
+        while finished:
+            pair = finished.popleft()
+            if incomplete.pop(pair[0], None) is not None:
+                ready.append(pair)
 
     def drain_pairs(self) -> List[_SeqResult]:
         res = self._resilience
@@ -731,30 +739,29 @@ class ThreadBackend:
         last_done = -1
         swept = False
         while True:
-            pairs, errors = self._collected()
-            done: Set[int] = set(pairs)
-            done.update(seq for seq, _ in errors)
-            for seq in done:
-                self._incomplete.pop(seq, None)
-            if errors:
-                seq, error = min(errors, key=lambda pair: pair[0])
+            self._absorb()
+            if self._errors:
+                seq, error = min(list(self._errors), key=_by_seq)
                 raise CheckingFailed(
                     f"checking trace (submit #{seq}) failed: {error!r}"
                 ) from error
-            if len(done) >= self._dispatched:
-                return sorted(pairs.items())
+            if not self._incomplete:
+                pairs, self._ready = self._ready, []
+                pairs.sort(key=_by_seq)
+                return pairs
             now = time.monotonic()
-            if len(done) != last_done:
-                last_done = len(done)
+            done = self._dispatched - len(self._incomplete)
+            if done != last_done:
+                last_done = done
                 last_progress = now
                 swept = False
-            self._supervise(done, pairs)
+            self._supervise()
             if (
                 res.check_timeout is not None
                 and now - last_progress > res.check_timeout
             ):
                 if not swept:
-                    n = self._redistribute(done)
+                    n = self._redistribute()
                     self.events.append(
                         RecoveryEvent.watchdog_redistribute(
                             res.check_timeout, n
@@ -764,8 +771,6 @@ class ThreadBackend:
                     last_progress = now
                 else:
                     self._unhealthy(
-                        pairs,
-                        done,
                         f"watchdog timeout: no checking progress for "
                         f"{res.check_timeout:g}s after redistributing "
                         f"outstanding traces",
@@ -773,7 +778,7 @@ class ThreadBackend:
             self._progress.wait(_POLL)
             self._progress.clear()
 
-    def _supervise(self, done: Set[int], pairs: Dict[int, TestResult]) -> None:
+    def _supervise(self) -> None:
         """Respawn dead worker threads and requeue their in-flight trace."""
         if self._stopping.is_set():
             return
@@ -784,8 +789,6 @@ class ThreadBackend:
             inflight = self._current[index]
             if self._respawns >= res.max_retries:
                 self._unhealthy(
-                    pairs,
-                    done,
                     f"checking worker thread {index} died and the retry "
                     f"budget ({res.max_retries}) is exhausted",
                 )
@@ -795,7 +798,7 @@ class ThreadBackend:
             # same queue is reused, so queued work survives the death.
             self._threads[index] = self._spawn(index, self._queues[index], None)
             requeued = 0
-            if inflight is not None and inflight not in done:
+            if inflight is not None:
                 trace = self._incomplete.get(inflight)
                 if trace is not None:
                     self._current[index] = None
@@ -807,7 +810,7 @@ class ThreadBackend:
                 )
             )
 
-    def _redistribute(self, done: Set[int]) -> int:
+    def _redistribute(self) -> int:
         """Watchdog sweep: resend every outstanding trace to live workers."""
         alive = [
             i for i in range(self._num_workers) if self._threads[i].is_alive()
@@ -818,32 +821,22 @@ class ThreadBackend:
         targets = [i for i in alive if self._current[i] is None] or alive
         n = 0
         for seq, trace in sorted(self._incomplete.items()):
-            if seq in done:
-                continue
             self._queues[targets[n % len(targets)]].put((seq, trace))
             n += 1
         return n
 
-    def _unhealthy(
-        self, pairs: Dict[int, TestResult], done: Set[int], message: str
-    ) -> None:
-        unchecked = [
-            (seq, trace)
-            for seq, trace in sorted(self._incomplete.items())
-            if seq not in done
-        ]
+    def _unhealthy(self, message: str) -> None:
+        pairs, self._ready = self._ready, []
         raise BackendUnhealthy(
             message,
-            pairs=tuple(sorted(pairs.items())),
-            unchecked=tuple(unchecked),
+            pairs=tuple(pairs),
+            unchecked=tuple(sorted(self._incomplete.items())),
             events=tuple(self.events),
         )
 
     # ------------------------------------------------------------------
     def drain(self) -> TestResult:
-        result = _merge_ordered(self.drain_pairs())
-        result.diagnostics.extend(self.diagnostics)
-        return result
+        return _drain_merged(self)
 
     def close(self) -> TestResult:
         if self._final is not None:
@@ -894,8 +887,8 @@ class ThreadBackend:
             self.engine_name, self._rules, registry, cache=cache,
             shadow=self.shadow_name,
         )
-        results = self._worker_results[index]
-        errors = self._worker_errors[index]
+        results = self._finished
+        errors = self._errors
         while True:
             item = q.get()
             if item is self._STOP:
@@ -1138,8 +1131,9 @@ class ProcessBackend:
     :class:`AdaptiveBatch`); workers pull batches from one shared task
     channel (self-scheduling, no round-robin imbalance) and push
     results back.  A collector thread on the submitting side decodes
-    results as they arrive, so ``drain`` only has to wait for the
-    outstanding count to hit zero and merge.
+    results as they arrive, so ``drain_pairs`` only has to wait for the
+    outstanding count to hit zero and hand off what arrived since the
+    previous hand-off.
 
     The channels are ``multiprocessing`` queues (``transport="queue"``)
     or shared-memory rings (``transport="shm"``); with the ``binary``
@@ -1157,7 +1151,9 @@ class ProcessBackend:
     outstanding traces once (covering a crash in the unobservable window
     between dequeue and ack, and hung workers) before declaring the
     backend unhealthy.  The collector drops duplicate results by
-    sequence number, so replays cannot change the aggregate.
+    sequence number (a wire leaves ``_incomplete`` exactly once, so
+    "completed" needs no bookkeeping of its own), so replays cannot
+    change the aggregate.
     """
 
     name = "process"
@@ -1243,8 +1239,8 @@ class ProcessBackend:
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
         self._dispatched = 0
-        self._completed: Set[int] = set()
         self._pending: List[Tuple[int, tuple]] = []  # unflushed batch
+        #: collected results not yet handed off by ``drain_pairs``
         self._results: List[_SeqResult] = []
         self._errors: List[Tuple[int, str]] = []
         #: seq -> wire for everything not yet checked (requeue source)
@@ -1329,7 +1325,7 @@ class ProcessBackend:
     def backlog(self) -> int:
         """Traces submitted but not yet completed by any worker."""
         with self._lock:
-            return max(0, self._dispatched - len(self._completed))
+            return len(self._incomplete)
 
     def submit(self, trace: Trace) -> None:
         metrics = self._metrics
@@ -1445,21 +1441,24 @@ class ProcessBackend:
             self._send_batch(batch)
         with self._done:
             last_progress = time.monotonic()
-            last_done = len(self._completed)
+            last_done = self._dispatched - len(self._incomplete)
             swept = False
             while True:
                 if self._errors:
-                    seq, error = min(self._errors, key=lambda pair: pair[0])
+                    seq, error = min(self._errors, key=_by_seq)
                     raise CheckingFailed(
                         f"checking trace (submit #{seq}) failed in worker "
                         f"process: {error}"
                     )
-                if len(self._completed) >= self._dispatched:
-                    return sorted(self._results, key=lambda pair: pair[0])
+                if not self._incomplete:
+                    pairs, self._results = self._results, []
+                    pairs.sort(key=_by_seq)
+                    return pairs
                 self._done.wait(timeout=_POLL)
                 now = time.monotonic()
-                if len(self._completed) != last_done:
-                    last_done = len(self._completed)
+                done = self._dispatched - len(self._incomplete)
+                if done != last_done:
+                    last_done = done
                     last_progress = now
                     swept = False
                 self._supervise_locked()
@@ -1468,9 +1467,7 @@ class ProcessBackend:
                     and now - last_progress > res.check_timeout
                 ):
                     if not swept:
-                        n = self._requeue_locked(
-                            set(self._incomplete) - self._completed
-                        )
+                        n = self._requeue_locked()
                         self.events.append(
                             RecoveryEvent.watchdog_requeue(
                                 res.check_timeout, n
@@ -1520,9 +1517,7 @@ class ProcessBackend:
             # Respawned workers are never re-injected (faults=None).
             self._processes.append(self._spawn_worker(new_index, None))
             self._per_worker_counts.setdefault(new_index, 0)
-            requeued = self._requeue_locked(
-                set(self._incomplete) - self._completed
-            )
+            requeued = self._requeue_locked()
             self.events.append(
                 RecoveryEvent.respawn_process(
                     index,
@@ -1534,18 +1529,15 @@ class ProcessBackend:
                 )
             )
 
-    def _requeue_locked(self, seqs: Set[int]) -> int:
-        # Requeue sends use a bounded timeout: if every worker is dead
-        # and the ring is full, blocking forever under the lock would
-        # wedge the watchdog that is trying to recover.  A partial
-        # requeue is fine — the watchdog escalates to unhealthy on its
-        # next firing if progress still stalls.
+    def _requeue_locked(self) -> int:
+        # Resends every outstanding wire, with a bounded timeout: if
+        # every worker is dead and the ring is full, blocking forever
+        # under the lock would wedge the watchdog that is trying to
+        # recover.  A partial requeue is fine — the watchdog escalates
+        # to unhealthy on its next firing if progress still stalls.
         batch: List[Tuple[int, tuple]] = []
         n = 0
-        for seq in sorted(seqs):
-            wire = self._incomplete.get(seq)
-            if wire is None:
-                continue
+        for seq, wire in sorted(self._incomplete.items()):
             batch.append((seq, wire))
             if len(batch) >= self._batch.size:
                 if not self._send_batch(batch, timeout=1.0):
@@ -1560,25 +1552,24 @@ class ProcessBackend:
 
     def _raise_unhealthy_locked(self, message: str) -> None:
         unchecked: List[Tuple[int, Trace]] = []
-        for seq in sorted(set(self._incomplete) - self._completed):
+        for seq, wire in sorted(self._incomplete.items()):
             try:
-                unchecked.append((seq, decode_trace(self._incomplete[seq])))
+                unchecked.append((seq, decode_trace(wire)))
             except TraceDecodeError as exc:
                 raise CheckingFailed(
                     f"trace (submit #{seq}) corrupted in transit: {exc}"
                 ) from exc
+        pairs, self._results = self._results, []
         raise BackendUnhealthy(
             message,
-            pairs=tuple(sorted(self._results, key=lambda pair: pair[0])),
+            pairs=tuple(pairs),
             unchecked=tuple(unchecked),
             events=tuple(self.events),
         )
 
     # ------------------------------------------------------------------
     def drain(self) -> TestResult:
-        result = _merge_ordered(self.drain_pairs())
-        result.diagnostics.extend(self.diagnostics)
-        return result
+        return _drain_merged(self)
 
     def close(self) -> TestResult:
         if self._final is not None:
@@ -1729,10 +1720,8 @@ class ProcessBackend:
                 for seq, wire, error in payload:
                     if outstanding is not None:
                         outstanding.discard(seq)
-                    if seq in self._completed:
+                    if self._incomplete.pop(seq, None) is None:
                         continue  # duplicate from a requeue replay
-                    self._completed.add(seq)
-                    self._incomplete.pop(seq, None)
                     if error is not None:
                         self._errors.append((seq, error))
                     elif isinstance(wire, TestResult):
@@ -1750,3 +1739,6 @@ class ProcessBackend:
                     self._per_worker_counts.get(index, 0) + fresh
                 )
                 self._done.notify_all()
+            # Parked on the next pop, this frame must not pin results
+            # the pool is about to be handed.
+            message = payload = wire = None

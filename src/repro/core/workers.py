@@ -39,6 +39,8 @@ Environment overrides (for chaos CI runs):
 from __future__ import annotations
 
 import os
+from copy import deepcopy
+from dataclasses import replace
 from time import perf_counter_ns
 from typing import Any, List, Optional, Tuple
 
@@ -52,7 +54,7 @@ from repro.core.backends import (
     make_backend,
     make_backend_with_fallback,
     resolve_backend_name,
-    _merge_ordered,
+    _by_seq,
 )
 from repro.core.column_arena import (
     ArenaOverflow,
@@ -86,8 +88,8 @@ SHARD_ENV_VAR = "PMTEST_SHARD_MIN_EVENTS"
 #: that explicitly opt out).
 _METRICS_FROM_ENV: Any = object()
 
-#: ``(global submit seq, per-trace result)`` salvaged from a degraded
-#: backend, merged back in at drain time.
+#: ``(global submit seq, per-trace result)``: what a drain folds in,
+#: and what is salvaged from a degraded backend until the fold.
 _CarryPair = Tuple[int, TestResult]
 
 
@@ -259,9 +261,11 @@ class WorkerPool:
         #: events submitted since the last drain, the denominator for
         #: the auto planner's coarse wall-time feed
         self._events_since_drain = 0
-        #: ``(start global seq, shard count)`` per split trace, folded
-        #: back into one result at drain time
+        #: ``(start global seq, shard count)`` per trace split since the
+        #: last drain, folded back into one result by the next one
         self._shard_spans: List[Tuple[int, int]] = []
+        #: shards dispatched so far (``metadata["epoch_shards"]``)
+        self._shards_total = 0
         if backend is None and num_workers > 0:
             override = os.environ.get("PMTEST_BACKEND")
             if override:
@@ -322,8 +326,12 @@ class WorkerPool:
         #: global submit sequence number per current-backend sequence
         self._seq_map: List[int] = []
         self._global_seq = 0
-        #: per-trace results salvaged from backends that were replaced
+        #: results salvaged from backends replaced during the current
+        #: drain; folded, with the successor's, when it completes
         self._carry: List[_CarryPair] = []
+        #: the running verdict: every per-trace result folded in so
+        #: far, in submission order (drains return copies of it)
+        self._verdict = TestResult()
         self._closed = False
         self._final: Optional[Tuple[str, object]] = None
 
@@ -439,6 +447,7 @@ class WorkerPool:
                 self._seq_map.append(self._global_seq)
                 self._global_seq += 1
             self._shard_spans.append((start, len(shards)))
+            self._shards_total += len(shards)
             if self._metrics is not None:
                 counter = self._metrics.counter
                 counter("shard.traces").inc(1)
@@ -504,7 +513,12 @@ class WorkerPool:
         This is ``PMTest_GET_RESULT``: the snapshot aggregates every trace
         checked since the pool was created, merged in submission order
         regardless of which worker (or, after a degradation, which
-        *backend*) checked what.  With ``check_timeout`` configured this
+        *backend*) checked what.  The meaning is cumulative, the cost is
+        not: each call folds only the results finished since the
+        previous one into the pool's running verdict and returns an
+        independent copy (one C-level copy of the report list; the
+        caller may mutate it), so a drain costs O(new results) however
+        old the session is.  With ``check_timeout`` configured this
         call is bounded: an unrecoverable hang surfaces as degradation
         or ``CheckingFailed`` instead of blocking forever.
         """
@@ -539,48 +553,57 @@ class WorkerPool:
             if timed:
                 counter("stage.drain.ns").inc(elapsed)
             counter("stage.drain.count").inc(1)
-        result = _merge_ordered(self._fold_shards(self._carry + pairs))
-        result.diagnostics.extend(self.diagnostics)
-        result.diagnostics.extend(self._backend.diagnostics)
+            # Results folded: one per hand-off result, plus one per
+            # shard span collapsed on the way.
+            counter("stage.drain.merged").inc(
+                len(pairs) + len(self._shard_spans)
+            )
+        verdict = self._verdict
+        for _, result in sorted(self._fold_shards(pairs), key=_by_seq):
+            verdict.merge(result)
+        result = replace(
+            verdict,
+            reports=verdict.reports.copy(),
+            diagnostics=(verdict.diagnostics + self.diagnostics
+                         + self._backend.diagnostics),
+            metadata=deepcopy(verdict.metadata),
+        )
         result.metadata["backend"] = self._backend.name
         result.metadata["degraded"] = self.degraded
-        if self._shard_spans:
-            result.metadata["epoch_shards"] = sum(
-                count for _, count in self._shard_spans
-            )
+        if self._shards_total:
+            result.metadata["epoch_shards"] = self._shards_total
         return result
 
     def _fold_shards(self, pairs: List[_CarryPair]) -> List[_CarryPair]:
-        """Collapse each shard span into one per-trace result.
+        """Collapse each shard span of this drain into one result.
 
-        Per-shard results are merged in sequence order (shard order ==
-        epoch order), so the folded reports are byte-identical to the
-        single-worker replay of the whole trace regardless of which
-        worker — or which backend, after a degradation — checked each
-        shard.  Requeue replays were already de-duplicated upstream.
+        ``submit`` dispatches a span whole and a drain returns only
+        when everything submitted is checked, so every pending span is
+        complete in ``pairs``.  Per-shard results are merged in
+        sequence order (shard order == epoch order), so the folded
+        reports are byte-identical to the single-worker replay of the
+        whole trace regardless of which worker — or which backend,
+        after a degradation — checked each shard.  Requeue replays were
+        already de-duplicated upstream.
         """
         if not self._shard_spans:
             return pairs
+        spans, self._shard_spans = self._shard_spans, []
         by_seq = dict(pairs)
-        folded: List[_CarryPair] = []
-        consumed: set = set()
-        for start, count in self._shard_spans:
-            span = [by_seq[seq] for seq in range(start, start + count)
-                    if seq in by_seq]
-            consumed.update(range(start, start + count))
-            if span:
-                folded.append((start, merge_shard_results(span)))
-        for seq, result in pairs:
-            if seq not in consumed:
-                folded.append((seq, result))
+        folded: List[_CarryPair] = [
+            (start, merge_shard_results(
+                [by_seq.pop(seq) for seq in range(start, start + count)]))
+            for start, count in spans
+        ]
+        folded.extend(by_seq.items())
         return folded
 
     def _drain_pairs_degrading(self) -> List[_CarryPair]:
-        """Drain the active backend, walking the fallback chain on failure."""
+        """Drain the active backend, walking the fallback chain on
+        failure; returns every result finished since the last drain."""
         while True:
             try:
                 pairs = self._backend.drain_pairs()
-                return [(self._seq_map[seq], result) for seq, result in pairs]
             except BackendUnhealthy as exc:
                 nxt = FALLBACK_CHAIN.get(self._backend.name)
                 if not self._resilience.fallback or nxt is None:
@@ -589,6 +612,13 @@ class WorkerPool:
                         f"unhealthy and fallback is disabled: {exc}"
                     ) from exc
                 self._degrade_to(nxt, exc)
+                continue
+            seq_map = self._seq_map
+            self._carry.extend(
+                (seq_map[seq], result) for seq, result in pairs
+            )
+            pairs, self._carry = self._carry, []
+            return pairs
 
     def _degrade_to(self, name: str, exc: BackendUnhealthy) -> None:
         """Replace the unhealthy backend, salvaging its finished work."""

@@ -518,11 +518,16 @@ class CheckingServer:
                 writer.close()
 
     async def _close_session(self, session: _Session) -> None:
-        """Release budget, fold metrics, stop the session's pool."""
+        """Release budget, stop the session's pool, fold its metrics.
+
+        The session stays in ``_sessions`` until its pool is closed and
+        its registry merged: ``shutdown`` waits for the tasks registered
+        there, so deregistering first would let the server stop (and the
+        loop cancel this task) with the pool still closing.
+        """
         self.admission.release(session.unreleased)
         session.unreleased = 0
         self.admission.session_closed(session.session_id)
-        self._sessions.pop(session.session_id, None)
         loop = asyncio.get_running_loop()
         snapshot = None
         try:
@@ -530,8 +535,10 @@ class CheckingServer:
             snapshot = session.pool.metrics_snapshot()
         except Exception:
             pass  # a dying pool must not take the session cleanup down
-        if self.metrics is not None and snapshot is not None:
-            self.metrics.merge(snapshot)
+        finally:
+            if self.metrics is not None and snapshot is not None:
+                self.metrics.merge(snapshot)
+            self._sessions.pop(session.session_id, None)
         if session.span is not None:
             session.span.finish(
                 traces=session.accepted, drains=session.answered_drains

@@ -155,6 +155,8 @@ class TestObservabilityFlags:
                       "checker validate", "drain"):
             assert stage in out
         assert "metrics level: full" in out
+        # one trace checked, one per-trace result folded by the drains
+        assert "stage.drain.merged:     1\n" in out
 
     def test_trace_out_writes_chrome_trace(self, tmp_path):
         trace = tmp_path / "run.pmtrace"

@@ -1,6 +1,8 @@
 """End-to-end daemon tests: sessions, equality with library mode,
 timeouts, graceful drain."""
 
+import asyncio
+import logging
 import socket
 import threading
 import time
@@ -291,3 +293,71 @@ class TestGracefulDrain:
         # server registry when the session closed
         assert snapshot.counter_value("engine.traces") == 5
         assert snapshot.histogram("daemon.frame_ns").count > 0
+
+    def test_shutdown_waits_for_a_closing_session(
+        self, uds_path, monkeypatch, caplog
+    ):
+        """A session whose pool is still closing is still a session:
+        ``shutdown`` (SIGTERM) must wait for it, so the loop is not torn
+        down under ``_close_session`` (asyncio would log the cancelled
+        task's traceback) and its metrics reach the server registry."""
+        from repro.core.metrics import MetricsLevel, MetricsRegistry
+        from repro.daemon import server as server_module
+
+        entered, release = threading.Event(), threading.Event()
+
+        class HeldPool(server_module.WorkerPool):
+            def close(self):
+                entered.set()
+                assert release.wait(30.0)
+                return super().close()
+
+        monkeypatch.setattr(server_module, "WorkerPool", HeldPool)
+        server = server_module.CheckingServer(
+            uds=uds_path, workers=0,
+            metrics=MetricsRegistry(MetricsLevel.BASIC),
+        )
+        loops = []
+        ready = threading.Event()
+
+        async def serve():  # what ``repro serve`` runs
+            await server.start()
+            loops.append(asyncio.get_running_loop())
+            ready.set()
+            await server.serve_forever()
+
+        thread = threading.Thread(
+            target=lambda: asyncio.run(serve()), daemon=True
+        )
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        thread.start()
+        assert ready.wait(30.0)
+        stopping = None
+        try:
+            client = CheckingClient(f"unix://{uds_path}")
+            for trace in make_traces(5):
+                client.submit(trace)
+            client.close()
+            assert entered.wait(30.0)
+            stopping = asyncio.run_coroutine_threadsafe(
+                server.shutdown(), loops[0]
+            )
+            deadline = time.monotonic() + 5.0
+            while not server.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.draining
+            time.sleep(0.2)
+            # held by the closing session, which is still registered
+            assert not stopping.done()
+            assert server.active_sessions == 1
+        finally:
+            release.set()
+            if stopping is None:  # failed early: still stop the loop
+                asyncio.run_coroutine_threadsafe(server.shutdown(), loops[0])
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert stopping.exception(timeout=0) is None
+        assert server.active_sessions == 0
+        snapshot = server.metrics_snapshot()
+        assert snapshot.counter_value("engine.traces") == 5
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
